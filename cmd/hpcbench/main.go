@@ -72,13 +72,16 @@ type Speedup struct {
 // Report is the JSON document hpcbench emits (committed as
 // BENCH_results.json at the repo root).
 type Report struct {
-	Seed       int64         `json:"seed"`
-	Scale      float64       `json:"scale"`
-	Quick      bool          `json:"quick"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Results    []BenchResult `json:"results"`
-	Speedups   []Speedup     `json:"speedups"`
+	Seed       int64   `json:"seed"`
+	Scale      float64 `json:"scale"`
+	Quick      bool    `json:"quick"`
+	GoVersion  string  `json:"go_version"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	// Host describes the machine the report was measured on; absolute
+	// ns/op only compare between reports from the same host.
+	Host     string        `json:"host,omitempty"`
+	Results  []BenchResult `json:"results"`
+	Speedups []Speedup     `json:"speedups"`
 }
 
 func run(args []string) (err error) {
@@ -128,6 +131,7 @@ func run(args []string) (err error) {
 			Quick:      *quick,
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Host:       hostDescription(),
 		},
 	}
 	if *quick {
@@ -164,6 +168,22 @@ func run(args []string) (err error) {
 		}
 	}
 	return nil
+}
+
+// hostDescription names the machine a report is measured on: the CPU model
+// (where /proc/cpuinfo lists one), logical CPU count, OS/arch and hostname.
+func hostDescription() string {
+	model := ""
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v) + ", "
+				break
+			}
+		}
+	}
+	name, _ := os.Hostname()
+	return fmt.Sprintf("%s%d CPUs, %s/%s, host %s", model, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, name)
 }
 
 // bencher accumulates measurements into the report.
@@ -613,10 +633,18 @@ func printTable(w io.Writer, rep *Report) {
 // ~100-200x at scale 1; the floor leaves headroom for noisy CI hosts).
 // correlate-mine folds a 64-event batch into standing pair counts instead
 // of re-scanning every event window; measured ~35x in quick mode with the
-// chain restarts billed in.
+// chain restarts billed in. The three condprob floors guard the sweep
+// kernel (one merge of the anchor and target posting lists per system):
+// each sits at about half the lowest speedup it measured at its
+// introduction (any-any/node 13-22x, hw-hw/node 14-25x, hw-any/rack
+// 10-13x, quick and full runs), and well above the 2.4-3.2x of the per-anchor binary search it
+// replaced, so losing the sweep fails the gate.
 var speedupFloors = map[string]float64{
 	"index-append/batch-64":   25,
 	"correlate-mine/batch-64": 10,
+	"condprob/any-any/node":   6,
+	"condprob/hw-hw/node":     7,
+	"condprob/hw-any/rack":    5,
 }
 
 // checkSpeedups fails when any indexed kernel lost its edge over the naive

@@ -60,7 +60,7 @@ func main() {
 	cli.Main("hpcreplay", run)
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("hpcreplay", flag.ContinueOnError)
 	addr := fs.String("addr", "", "target server base URL, e.g. http://127.0.0.1:8080 (mutually exclusive with -serve)")
 	serve := fs.Bool("serve", false, "boot an in-process hpcserve on a loopback port and replay against it")
@@ -171,10 +171,15 @@ func run(args []string) error {
 		logf("in-process hpcserve on %s", baseURL)
 	}
 	if srvCancel != nil {
+		// A server that fails its own shutdown fails the run, even when the
+		// replay itself passed.
 		defer func() {
 			srvCancel()
-			if err := <-srvDone; err != nil {
-				logf("in-process server: %v", err)
+			if serr := <-srvDone; serr != nil {
+				logf("in-process server: %v", serr)
+				if err == nil {
+					err = fmt.Errorf("in-process server: %w", serr)
+				}
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/stats"
@@ -94,12 +95,17 @@ func (a *Analyzer) BaselineNodeProb(systems []trace.SystemInfo, w time.Duration,
 	if a.didx == nil {
 		return a.BaselineNodeProbNaive(systems, w, pred)
 	}
-	return a.baselineFromIndex(systems, w, pred, scratchFor(systems))
+	sc := a.didx.scratch(systems)
+	defer scratchPool.Put(sc)
+	return a.baselineFromIndex(systems, w, pred, sc)
 }
 
 // baselineFromIndex is BaselineNodeProb over a caller-provided scratch, so
-// CondProbCtx can share one scratch between the baseline and the scan.
-func (a *Analyzer) baselineFromIndex(systems []trace.SystemInfo, w time.Duration, pred trace.Pred, sc *condScratch) stats.Proportion {
+// CondProbCtx can share one scratch between the baseline and the sweep. One
+// pass over each system's target posting list marks (node, window) cells:
+// events arrive in time order, so one remembered window per node slot
+// deduplicates them.
+func (a *Analyzer) baselineFromIndex(systems []trace.SystemInfo, w time.Duration, pred trace.Pred, sc *sweepScratch) stats.Proportion {
 	cls, fil := routePred(pred)
 	successes, trials := 0, 0
 	for _, s := range systems {
@@ -113,16 +119,17 @@ func (a *Analyzer) baselineFromIndex(systems []trace.SystemInfo, w time.Duration
 			continue
 		}
 		sc.next()
+		start := s.Period.Start.UnixNano()
 		for _, p := range si.byClass[cls] {
-			f := &si.fails[p]
-			if fil != nil && !fil.Match(*f) {
+			if fil != nil && !fil.Match(si.fails[p]) {
 				continue
 			}
-			wi := int64(f.Time.Sub(s.Period.Start) / w)
+			wi := (si.ns[p] - start) / int64(w)
 			if wi < 0 || wi >= int64(nw) {
 				continue
 			}
-			if sc.markNodeWin(f.Node, wi) {
+			if v, ok := sc.get(si.node[p]); !ok || v != wi {
+				sc.set(si.node[p], wi)
 				successes++
 			}
 		}
@@ -185,22 +192,24 @@ func (a *Analyzer) CondProb(systems []trace.SystemInfo, anchorPred, targetPred t
 // hot loop of every figure, so it is the cancellation point for the whole
 // experiment suite.
 //
-// It answers from the dataset index: anchors come from the anchor class's
-// posting list clipped to the period by one binary search, and per-anchor
-// window membership is resolved against the target class's node, rack or
-// system posting lists. CondProbNaiveCtx is the reference scan the indexed
-// kernel must agree with bit for bit.
+// It answers from the dataset index with one sweep per system over the
+// anchor and target posting lists (anchors clipped to the period by one
+// binary search): a backward merge for node and rack scope, a forward
+// sliding window for system scope, O(anchors + targets) either way.
+// CondProbNaiveCtx is the reference scan the sweep must agree with bit for
+// bit.
 func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, anchorPred, targetPred trace.Pred, w time.Duration, scope Scope) (CondResult, error) {
 	if a.didx == nil {
 		return a.CondProbNaiveCtx(ctx, systems, anchorPred, targetPred, w, scope)
 	}
 	res := CondResult{Window: w, Scope: scope}
-	sc := scratchFor(systems)
+	sc := a.didx.scratch(systems)
+	defer scratchPool.Put(sc)
 	res.Baseline = a.baselineFromIndex(systems, w, targetPred, sc)
 
 	aCls, aFil := routePred(anchorPred)
 	tCls, tFil := routePred(targetPred)
-	scanned := 0
+	k := sweep{ctx: ctx, sc: sc, w: int64(w), aFil: aFil, tFil: tFil}
 	for _, s := range systems {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -215,53 +224,187 @@ func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, 
 		// Clip anchors whose window would extend past the measurement
 		// period, so truncated exposure does not dilute the estimate.
 		anchors := si.byClass[aCls]
-		anchors = anchors[:upperBoundAnchors(si.times, anchors, s.Period.End, w)]
-		for _, p := range anchors {
-			scanned++
-			if scanned%1024 == 0 {
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
-			}
-			f := &si.fails[p]
-			if aFil != nil && !aFil.Match(*f) {
-				continue
-			}
-			iv := trace.Interval{Start: f.Time.Add(time.Nanosecond), End: f.Time.Add(w)}
-			switch scope {
-			case ScopeNode:
-				res.Conditional.Trials++
-				if si.nodeAny(f.Node, tCls, tFil, iv) {
-					res.Conditional.Successes++
-				}
-			case ScopeRack:
-				mates := si.mates[f.Node]
-				if len(mates) == 0 {
-					continue
-				}
-				res.Conditional.Trials += len(mates)
-				// Early out: when the whole rack is quiet inside the
-				// window, no per-mate search can succeed.
-				r := si.rackOf[f.Node]
-				if !si.anyIn(si.rackClass[nodeClassKey{r, tCls}], tFil, iv) {
-					continue
-				}
-				for _, m := range mates {
-					if si.nodeAny(m, tCls, tFil, iv) {
-						res.Conditional.Successes++
-					}
-				}
-			case ScopeSystem:
-				// Count distinct other nodes with a matching failure in
-				// the window by scanning the window's posting list once.
-				res.Conditional.Trials += s.Nodes - 1
-				sc.next()
-				res.Conditional.Successes += si.distinctOther(f.Node, tCls, tFil, iv, sc)
-			}
+		anchors = anchors[:upperBound(si.ns, anchors, s.Period.End.UnixNano()-k.w)]
+		targets := si.byClass[tCls]
+		sc.next()
+		var err error
+		switch scope {
+		case ScopeNode, ScopeRack:
+			err = k.merge(si, anchors, targets, scope == ScopeRack)
+		case ScopeSystem:
+			err = k.window(si, anchors, targets, s.Nodes-1)
+		}
+		res.Conditional = k.cond
+		if err != nil {
+			return res, err
 		}
 	}
 	finishCond(&res)
 	return res, nil
+}
+
+// sweep is the state of one CondProbCtx call's per-system sweeps: the
+// window length in nanoseconds, the residual filters of opaque predicates
+// (nil for class-routed ones), the shared scratch, the cancellation cadence
+// and the conditional's running counts.
+type sweep struct {
+	ctx        context.Context
+	sc         *sweepScratch
+	w          int64
+	aFil, tFil trace.Pred
+	anchors    int
+	cond       stats.Proportion
+}
+
+// tick counts one visited anchor and checks ctx every 1024.
+func (k *sweep) tick() error {
+	k.anchors++
+	if k.anchors%1024 == 0 {
+		return k.ctx.Err()
+	}
+	return nil
+}
+
+// merge answers node and rack scope for one system in one backward merge of
+// the anchor and target posting lists. Walking anchors newest first, it
+// admits every target strictly after the current anchor, so the scratch
+// holds next[n], the earliest such target time of each node slot. An anchor
+// at t then succeeds at node scope iff next[node] < t+w, and each rack-mate
+// m with next[m] < t+w is one rack-scope success. Opaque predicates filter
+// anchors as they are visited and targets as they are admitted.
+func (k *sweep) merge(si *systemIndex, anchors, targets []int32, rack bool) error {
+	j := len(targets) - 1
+	for i := len(anchors) - 1; i >= 0; i-- {
+		if err := k.tick(); err != nil {
+			return err
+		}
+		p := anchors[i]
+		if k.aFil != nil && !k.aFil.Match(si.fails[p]) {
+			continue
+		}
+		t := si.ns[p]
+		for ; j >= 0 && si.ns[targets[j]] > t; j-- {
+			q := targets[j]
+			if k.tFil == nil || k.tFil.Match(si.fails[q]) {
+				k.sc.set(si.node[q], si.ns[q])
+			}
+		}
+		end := t + k.w
+		if !rack {
+			k.cond.Trials++
+			if next, ok := k.sc.get(si.node[p]); ok && next < end {
+				k.cond.Successes++
+			}
+			continue
+		}
+		mates := si.lay.matesOf(si.node[p])
+		k.cond.Trials += len(mates)
+		for _, m := range mates {
+			if next, ok := k.sc.get(m); ok && next < end {
+				k.cond.Successes++
+			}
+		}
+	}
+	return nil
+}
+
+// window answers system scope for one system with a forward two-pointer
+// window (t, t+w) over the target posting list: the scratch holds each node
+// slot's target count inside the window and distinct the number of slots
+// with a nonzero count, so an anchor's successes are distinct minus its own
+// node when that node is in the window. others is the per-anchor trial
+// count (the system's node count minus the anchor). Opaque predicates
+// filter anchors as they are visited and targets as they enter and leave
+// the window.
+func (k *sweep) window(si *systemIndex, anchors, targets []int32, others int) error {
+	lo, hi, distinct := 0, 0, 0
+	for _, p := range anchors {
+		if err := k.tick(); err != nil {
+			return err
+		}
+		if k.aFil != nil && !k.aFil.Match(si.fails[p]) {
+			continue
+		}
+		t := si.ns[p]
+		end := t + k.w
+		for ; hi < len(targets) && si.ns[targets[hi]] < end; hi++ {
+			q := targets[hi]
+			if k.tFil == nil || k.tFil.Match(si.fails[q]) {
+				if k.sc.add(si.node[q], 1) == 1 {
+					distinct++
+				}
+			}
+		}
+		for ; lo < hi && si.ns[targets[lo]] <= t; lo++ {
+			q := targets[lo]
+			if k.tFil == nil || k.tFil.Match(si.fails[q]) {
+				if k.sc.add(si.node[q], -1) == 0 {
+					distinct--
+				}
+			}
+		}
+		k.cond.Trials += others
+		k.cond.Successes += distinct
+		if n, _ := k.sc.get(si.node[p]); n > 0 {
+			k.cond.Successes--
+		}
+	}
+	return nil
+}
+
+// sweepScratch is the per-call state of the sweep kernel and the baseline:
+// one epoch-stamped int64 cell per node slot (a next-target time, a window
+// count or a window index). A cell is live only while its stamp equals the
+// current epoch, so starting a system's pass is one increment, not a clear.
+// Scratches are pooled; one serves one call at a time.
+type sweepScratch struct {
+	stamp []uint64
+	val   []int64
+	epoch uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// scratch returns a pooled scratch with a cell for every node slot of the
+// queried systems. Callers return it to scratchPool when done.
+func (x *DatasetIndex) scratch(systems []trace.SystemInfo) *sweepScratch {
+	n := 0
+	for _, s := range systems {
+		if si := x.system(s.ID); si != nil && si.nslots > n {
+			n = si.nslots
+		}
+	}
+	sc := scratchPool.Get().(*sweepScratch)
+	if len(sc.stamp) < n {
+		sc.stamp = make([]uint64, n)
+		sc.val = make([]int64, n)
+	}
+	return sc
+}
+
+// next opens a fresh pass; every cell becomes stale.
+func (sc *sweepScratch) next() { sc.epoch++ }
+
+// get returns the slot's cell, and whether it was set in this pass.
+func (sc *sweepScratch) get(s int32) (int64, bool) {
+	if sc.stamp[s] != sc.epoch {
+		return 0, false
+	}
+	return sc.val[s], true
+}
+
+// set stores v in the slot's cell for this pass.
+func (sc *sweepScratch) set(s int32, v int64) {
+	sc.stamp[s] = sc.epoch
+	sc.val[s] = v
+}
+
+// add adds d to the slot's cell (zero when stale) and returns the sum.
+func (sc *sweepScratch) add(s int32, d int64) int64 {
+	v, _ := sc.get(s)
+	v += d
+	sc.set(s, v)
+	return v
 }
 
 // CondProbNaive is CondProbNaiveCtx without cancellation.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"github.com/hpcfail/hpcfail/internal/layout"
 	"github.com/hpcfail/hpcfail/internal/trace"
@@ -11,19 +10,19 @@ import (
 
 // DatasetIndex precomputes, once per dataset, everything the conditional-
 // probability kernel needs to answer an (anchor, target, window, scope)
-// query by binary search instead of a full scan: per-system time-sorted
-// event timelines with class-partitioned posting lists at system, node and
-// rack granularity, plus each node's precomputed rack-mates. A posting list
-// stores positions into the system timeline in time order, so an event's
-// position in its list doubles as the cumulative count of earlier same-class
-// events and a count-in-window is two binary searches.
+// query in one sweep per system: per-system time-sorted event timelines
+// (int64 UnixNano times plus a dense node slot per position) with
+// class-partitioned posting lists at system, node and rack granularity, plus
+// each placed node's precomputed rack-mates. A posting list stores positions
+// into the system timeline in time order, so an event's position in its
+// list doubles as the cumulative count of earlier same-class events and a
+// count-in-window is two binary searches.
 //
 // Predicates built from the standard constructors route to the posting list
 // of their trace.Class; PredOf predicates (trace.ClassOpaque) fall back to
-// the ClassAny timeline filtered per event, which is still window-bounded by
-// binary search. The index is immutable once published and safe for
-// concurrent readers; Append extends it copy-on-write without disturbing
-// readers of the old value.
+// the ClassAny timeline filtered per event. The index is immutable once
+// published and safe for concurrent readers; Append extends it copy-on-write
+// without disturbing readers of the old value.
 type DatasetIndex struct {
 	sys map[int]*systemIndex
 }
@@ -37,17 +36,26 @@ type nodeClassKey struct {
 // systemIndex holds the per-system timelines and posting lists.
 type systemIndex struct {
 	fails []trace.Failure // the system's failures in dataset (time) order
-	times []time.Time     // times[i] == fails[i].Time, for dense access
+	ns    []int64         // ns[i] == fails[i].Time.UnixNano(), the kernel's timeline
+	node  []int32         // node[i] is the dense slot of fails[i].Node
 
-	byClass   [trace.NumClasses][]int32
+	byClass [trace.NumClasses][]int32
+	// nodeClass and rackClass are not read by the kernel, which sweeps
+	// byClass; they serve SystemView, through which the correlation miner
+	// walks one node's or one rack's events.
 	nodeClass map[nodeClassKey][]int32
 	rackClass map[nodeClassKey][]int32
 
-	// rackOf and mates mirror the system's layout: rack per placed node and
-	// each placed node's other rack members, precomputed so rack-scope scans
-	// allocate nothing per anchor. Nil maps for systems without layouts.
-	rackOf map[int]int
-	mates  map[int][]int
+	// slotOf numbers the system's node IDs densely, placed nodes first (in
+	// the layout's order), then the others in arrival order; nslots is the
+	// number of slots this version uses and sizes the kernel's scratch.
+	// Only add reads or writes slotOf, so index versions of one Append
+	// chain share it: the extension claim admits one writer at a time, and
+	// a version never sees slots beyond its own nslots.
+	slotOf map[int]int32
+	nslots int
+
+	lay sysLayout
 
 	// extended is claimed (once, by CAS) by the first Append that wants to
 	// grow this system's slices into their spare capacity. Readers only ever
@@ -55,6 +63,15 @@ type systemIndex struct {
 	// growth by the unique claim holder is safe; any other Append that
 	// reaches this system loses the claim and rebuilds it instead.
 	extended atomic.Bool
+}
+
+// sysLayout is the rack structure of a system's layout in the forms the
+// index needs, built once and shared (immutably) by every index version of
+// the system. The zero value describes a system without a layout.
+type sysLayout struct {
+	rackOf map[int]int   // rack per placed node
+	slotOf map[int]int32 // placed node -> slot, 0..len-1 in Nodes() order
+	mates  [][]int32     // mates[slot]: slots of the node's other rack members
 }
 
 // NewDatasetIndex builds the index over a sorted dataset. Every system
@@ -65,7 +82,7 @@ func NewDatasetIndex(ds *trace.Dataset) *DatasetIndex {
 	sysOf := func(id int) *systemIndex {
 		si := x.sys[id]
 		if si == nil {
-			si = newSystemIndex(layoutMaps(ds.Layouts[id]))
+			si = newSystemIndex(layoutOf(ds.Layouts[id]))
 			x.sys[id] = si
 		}
 		return si
@@ -80,30 +97,65 @@ func NewDatasetIndex(ds *trace.Dataset) *DatasetIndex {
 	return x
 }
 
-// newSystemIndex returns an empty per-system index sharing the given layout
-// maps (which are immutable once built).
-func newSystemIndex(rackOf map[int]int, mates map[int][]int) *systemIndex {
-	return &systemIndex{
+// newSystemIndex returns an empty per-system index over the given layout,
+// with the placed nodes' slots already assigned.
+func newSystemIndex(lay sysLayout) *systemIndex {
+	si := &systemIndex{
 		nodeClass: make(map[nodeClassKey][]int32),
 		rackClass: make(map[nodeClassKey][]int32),
-		rackOf:    rackOf,
-		mates:     mates,
+		slotOf:    make(map[int]int32, len(lay.slotOf)),
+		nslots:    len(lay.slotOf),
+		lay:       lay,
 	}
+	for n, s := range lay.slotOf {
+		si.slotOf[n] = s
+	}
+	return si
 }
 
-// layoutMaps precomputes the rack-per-node and rack-mates maps of a layout.
-func layoutMaps(lay *layout.Layout) (map[int]int, map[int][]int) {
+// layoutOf precomputes the rack-per-node map and the slot-numbered
+// rack-mates of a layout.
+func layoutOf(lay *layout.Layout) sysLayout {
 	if lay == nil {
-		return nil, nil
+		return sysLayout{}
 	}
 	nodes := lay.Nodes()
-	rackOf := make(map[int]int, len(nodes))
-	mates := make(map[int][]int, len(nodes))
-	for _, n := range nodes {
-		rackOf[n] = lay.Rack(n)
-		mates[n] = lay.RackMates(n)
+	l := sysLayout{
+		rackOf: make(map[int]int, len(nodes)),
+		slotOf: make(map[int]int32, len(nodes)),
+		mates:  make([][]int32, len(nodes)),
 	}
-	return rackOf, mates
+	for i, n := range nodes {
+		l.rackOf[n] = lay.Rack(n)
+		l.slotOf[n] = int32(i)
+	}
+	for i, n := range nodes {
+		for _, m := range lay.RackMates(n) {
+			l.mates[i] = append(l.mates[i], l.slotOf[m])
+		}
+	}
+	return l
+}
+
+// matesOf returns the rack-mate slots of the node in slot s (nil for nodes
+// the layout does not place).
+func (l *sysLayout) matesOf(s int32) []int32 {
+	if int(s) < len(l.mates) {
+		return l.mates[s]
+	}
+	return nil
+}
+
+// slot returns the node's dense slot, assigning the next one to a node the
+// system has not seen.
+func (si *systemIndex) slot(node int) int32 {
+	s, ok := si.slotOf[node]
+	if !ok {
+		s = int32(si.nslots)
+		si.slotOf[node] = s
+		si.nslots++
+	}
+	return s
 }
 
 // add indexes one event at the tail of the timeline. The event's time must
@@ -111,12 +163,13 @@ func layoutMaps(lay *layout.Layout) (map[int]int, map[int][]int) {
 func (si *systemIndex) add(f trace.Failure, clsBuf []trace.Class) {
 	p := int32(len(si.fails))
 	si.fails = append(si.fails, f)
-	si.times = append(si.times, f.Time)
+	si.ns = append(si.ns, f.Time.UnixNano())
+	si.node = append(si.node, si.slot(f.Node))
 	for _, c := range trace.ClassesOf(f, clsBuf) {
 		si.byClass[c] = append(si.byClass[c], p)
 		k := nodeClassKey{f.Node, c}
 		si.nodeClass[k] = append(si.nodeClass[k], p)
-		if r, ok := si.rackOf[f.Node]; ok {
+		if r, ok := si.lay.rackOf[f.Node]; ok {
 			rk := nodeClassKey{r, c}
 			si.rackClass[rk] = append(si.rackClass[rk], p)
 		}
@@ -125,18 +178,20 @@ func (si *systemIndex) add(f trace.Failure, clsBuf []trace.Class) {
 
 // cowCopy returns a copy of si with freshly allocated posting-list maps so
 // the copy can grow without mutating map state concurrent readers of si are
-// iterating. The slice headers (timeline and posting lists) are shared; the
-// caller must hold the parent index's extension claim before appending to
-// them in place.
+// iterating. The slice headers (timeline and posting lists) and the slot
+// map are shared; the caller must hold the parent index's extension claim
+// before appending to them in place.
 func (si *systemIndex) cowCopy() *systemIndex {
 	ns := &systemIndex{
 		fails:     si.fails,
-		times:     si.times,
+		ns:        si.ns,
+		node:      si.node,
 		byClass:   si.byClass,
 		nodeClass: make(map[nodeClassKey][]int32, len(si.nodeClass)+8),
 		rackClass: make(map[nodeClassKey][]int32, len(si.rackClass)+8),
-		rackOf:    si.rackOf,
-		mates:     si.mates,
+		slotOf:    si.slotOf,
+		nslots:    si.nslots,
+		lay:       si.lay,
 	}
 	for k, v := range si.nodeClass {
 		ns.nodeClass[k] = v
@@ -145,11 +200,6 @@ func (si *systemIndex) cowCopy() *systemIndex {
 		ns.rackClass[k] = v
 	}
 	return ns
-}
-
-// lastTime returns the time of the system's newest event.
-func (si *systemIndex) lastTime() time.Time {
-	return si.times[len(si.times)-1]
 }
 
 // sortBatch orders a batch by (time, node, category) so equal inputs index
@@ -222,13 +272,13 @@ func (x *DatasetIndex) Append(ds *trace.Dataset, batch []trace.Failure) *Dataset
 		var ns *systemIndex
 		switch {
 		case old == nil:
-			ns = newSystemIndex(layoutMaps(ds.Layouts[id]))
-		case (len(old.times) == 0 || !evs[0].Time.Before(old.lastTime())) &&
+			ns = newSystemIndex(layoutOf(ds.Layouts[id]))
+		case (len(old.ns) == 0 || evs[0].Time.UnixNano() >= old.ns[len(old.ns)-1]) &&
 			old.extended.CompareAndSwap(false, true):
 			ns = old.cowCopy()
 		default:
 			evs = mergeByTime(old.fails, evs)
-			ns = newSystemIndex(old.rackOf, old.mates)
+			ns = newSystemIndex(old.lay)
 		}
 		for _, f := range evs {
 			ns.add(f, clsBuf[:0])
@@ -268,12 +318,13 @@ func (x *DatasetIndex) CountInWindow(system int, pred trace.Pred, iv trace.Inter
 	}
 	cls, fil := routePred(pred)
 	list := si.byClass[cls]
-	lo := lowerBound(si.times, list, iv.Start)
+	start, end := iv.Start.UnixNano(), iv.End.UnixNano()
+	lo := lowerBound(si.ns, list, start)
 	if fil == nil {
-		return lowerBound(si.times, list, iv.End) - lo
+		return lowerBound(si.ns, list, end) - lo
 	}
 	n := 0
-	for i := lo; i < len(list) && si.times[list[i]].Before(iv.End); i++ {
+	for i := lo; i < len(list) && si.ns[list[i]] < end; i++ {
 		if fil.Match(si.fails[list[i]]) {
 			n++
 		}
@@ -293,12 +344,12 @@ func routePred(pred trace.Pred) (trace.Class, trace.Pred) {
 }
 
 // lowerBound returns the first position of list whose event time is not
-// before t. list holds positions into times in ascending time order.
-func lowerBound(times []time.Time, list []int32, t time.Time) int {
+// before t. list holds positions into ns in ascending time order.
+func lowerBound(ns []int64, list []int32, t int64) int {
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if times[list[mid]].Before(t) {
+		if ns[list[mid]] < t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -307,137 +358,17 @@ func lowerBound(times []time.Time, list []int32, t time.Time) int {
 	return lo
 }
 
-// upperBoundAnchors returns the number of leading list positions whose
-// events start a w-window fitting inside the period (time + w <= period
-// end), the indexed form of the naive scan's per-anchor window clipping.
-func upperBoundAnchors(times []time.Time, list []int32, periodEnd time.Time, w time.Duration) int {
-	cutoff := periodEnd.Add(-w)
+// upperBound returns the first position of list whose event time is after
+// t: the count of leading events at or before t.
+func upperBound(ns []int64, list []int32, t int64) int {
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if times[list[mid]].After(cutoff) {
+		if ns[list[mid]] > t {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo
-}
-
-// anyIn reports whether list has an event inside iv passing fil (nil fil
-// accepts every event — the class-routed fast path: one binary search).
-func (si *systemIndex) anyIn(list []int32, fil trace.Pred, iv trace.Interval) bool {
-	lo := lowerBound(si.times, list, iv.Start)
-	if fil == nil {
-		return lo < len(list) && si.times[list[lo]].Before(iv.End)
-	}
-	for i := lo; i < len(list) && si.times[list[i]].Before(iv.End); i++ {
-		if fil.Match(si.fails[list[i]]) {
-			return true
-		}
-	}
-	return false
-}
-
-// nodeAny reports whether the node has an event of cls inside iv passing fil.
-func (si *systemIndex) nodeAny(node int, cls trace.Class, fil trace.Pred, iv trace.Interval) bool {
-	return si.anyIn(si.nodeClass[nodeClassKey{node, cls}], fil, iv)
-}
-
-// distinctOther counts the distinct nodes other than exclude with at least
-// one event of cls inside iv passing fil, deduplicating through sc.
-// Callers advance sc.next() first.
-func (si *systemIndex) distinctOther(exclude int, cls trace.Class, fil trace.Pred, iv trace.Interval, sc *condScratch) int {
-	list := si.byClass[cls]
-	n := 0
-	for i := lowerBound(si.times, list, iv.Start); i < len(list) && si.times[list[i]].Before(iv.End); i++ {
-		f := &si.fails[list[i]]
-		if f.Node == exclude {
-			continue
-		}
-		if fil != nil && !fil.Match(*f) {
-			continue
-		}
-		if sc.markNode(f.Node) {
-			n++
-		}
-	}
-	return n
-}
-
-// condScratch is the per-query deduplication state of the indexed kernel:
-// epoch-stamped per-node marks (with an overflow map for node IDs outside
-// the dense range) replace the per-anchor maps of the naive scan. One
-// scratch serves one CondProb call; queries never share one concurrently.
-type condScratch struct {
-	stamp []uint64
-	val   []int64
-	epoch uint64
-
-	overStamp map[int]uint64
-	overVal   map[int]int64
-}
-
-func newCondScratch(nodes int) *condScratch {
-	return &condScratch{stamp: make([]uint64, nodes), val: make([]int64, nodes)}
-}
-
-// next opens a fresh deduplication scope; prior marks become stale.
-func (sc *condScratch) next() { sc.epoch++ }
-
-func (sc *condScratch) overflow() (map[int]uint64, map[int]int64) {
-	if sc.overStamp == nil {
-		sc.overStamp = make(map[int]uint64)
-		sc.overVal = make(map[int]int64)
-	}
-	return sc.overStamp, sc.overVal
-}
-
-// markNode marks a node in the current scope, reporting whether it was new.
-func (sc *condScratch) markNode(n int) bool {
-	if n >= 0 && n < len(sc.stamp) {
-		if sc.stamp[n] == sc.epoch {
-			return false
-		}
-		sc.stamp[n] = sc.epoch
-		return true
-	}
-	over, _ := sc.overflow()
-	if over[n] == sc.epoch {
-		return false
-	}
-	over[n] = sc.epoch
-	return true
-}
-
-// markNodeWin marks a (node, window-index) cell in the current scope,
-// reporting whether it was new. Window indices arrive nondecreasing per
-// node (events are time-sorted), so one remembered value per node suffices.
-func (sc *condScratch) markNodeWin(n int, wi int64) bool {
-	if n >= 0 && n < len(sc.stamp) {
-		if sc.stamp[n] == sc.epoch && sc.val[n] == wi {
-			return false
-		}
-		sc.stamp[n] = sc.epoch
-		sc.val[n] = wi
-		return true
-	}
-	over, vals := sc.overflow()
-	if over[n] == sc.epoch && vals[n] == wi {
-		return false
-	}
-	over[n] = sc.epoch
-	vals[n] = wi
-	return true
-}
-
-// scratchFor sizes a scratch for the densest system under query.
-func scratchFor(systems []trace.SystemInfo) *condScratch {
-	max := 0
-	for _, s := range systems {
-		if s.Nodes > max {
-			max = s.Nodes
-		}
-	}
-	return newCondScratch(max)
 }

@@ -1464,6 +1464,43 @@ func Serve(ctx context.Context, addr string, cfg Config) error {
 // requests before giving up.
 const shutdownGrace = 5 * time.Second
 
+// newConns tracks connections in http.StateNew: accepted, but no request
+// read yet. http.Server.Shutdown counts such a connection as idle only
+// after 5 s, as long as shutdownGrace itself, so one dialed-but-unused
+// connection would hold shutdown open to the deadline. They carry no
+// request, so shutdown closes them as it begins, and closes any that are
+// accepted after that on arrival.
+type newConns struct {
+	mu      sync.Mutex
+	closing bool
+	conns   map[net.Conn]struct{}
+}
+
+// track is the http.Server.ConnState hook.
+func (nc *newConns) track(c net.Conn, st http.ConnState) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(nc.conns, c)
+	case nc.closing:
+		c.Close()
+	default:
+		nc.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every tracked connection and every later new one.
+func (nc *newConns) closeAll() {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	nc.closing = true
+	for c := range nc.conns {
+		c.Close()
+	}
+	clear(nc.conns)
+}
+
 // ServeListener serves on an existing listener (which it takes ownership
 // of) until ctx is cancelled. Tests use it with a 127.0.0.1:0 listener.
 func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
@@ -1473,10 +1510,12 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		return err
 	}
 	s.setBase(ctx)
+	idle := &newConns{conns: make(map[net.Conn]struct{})}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ConnState:         idle.track,
 	}
 
 	// Periodic maintenance: decay keeps engine memory bounded while the
@@ -1574,6 +1613,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 	s.logf("hpcserve: shutting down")
 	shctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
+	idle.closeAll()
 	err = hs.Shutdown(shctx)
 	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
 		err = serveErr

@@ -511,6 +511,63 @@ func TestServeGracefulShutdownNoLeak(t *testing.T) {
 	}
 }
 
+// TestServeShutdownClosesUnusedConn dials a connection that never sends a
+// request and then cancels: ServeListener must close it and return nil well
+// within shutdownGrace instead of waiting the grace out.
+func TestServeShutdownClosesUnusedConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeListener(ctx, ln, Config{Dataset: testDS(), Window: trace.Day})
+	}()
+	url := "http://" + ln.Addr().String()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(url + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	http.DefaultClient.CloseIdleConnections()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Let the server accept it, so it is tracked as a new connection.
+	time.Sleep(50 * time.Millisecond)
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ServeListener returned %v, want nil", err)
+		}
+		if took := time.Since(start); took > shutdownGrace/2 {
+			t.Fatalf("shutdown took %v with an unused connection open (grace %v)", took, shutdownGrace)
+		}
+	case <-time.After(2 * shutdownGrace):
+		t.Fatal("ServeListener did not return after cancel")
+	}
+	// The server closed its end: the client reads EOF, not a timeout.
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("unused connection still open after shutdown")
+	}
+}
+
 func TestServeListenerBadConfig(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
